@@ -347,9 +347,14 @@ impl<H: HeaderCodec, const MULTI: bool> DeviceAllocator for RegEff<H, MULTI> {
         let next = hdr.next;
         if next > chunk && self.starts.check(next) && H::try_claim(&self.heap, next) {
             if self.starts.check(next) {
+                // Unlink before unpublishing: a live chunk's link must never
+                // name a cleared start. Cleared first, every walker passing
+                // `chunk` until the relink would see a dangling link, count
+                // a strike and restart — and a preempted merger keeps that
+                // window open long enough to exhaust MAX_STRIKES.
                 let absorbed = H::read(&self.heap, next);
-                self.starts.clear(next);
                 H::set_next(&self.heap, chunk, absorbed.next);
+                self.starts.clear(next);
             } else {
                 // The claim landed on bytes a concurrent merge recycled —
                 // undo it.
@@ -582,6 +587,38 @@ mod tests {
                     "{tag}: size {size:#x} must be rejected, not wrapped"
                 );
             }
+        });
+    }
+}
+
+/// Model-checked interleaving suite (built with `RUSTFLAGS="--cfg loom"`).
+#[cfg(all(test, loom))]
+mod loom_tests {
+    use super::*;
+    use gpumem_core::sync::{model, thread};
+
+    /// A free that merges its physical successor never leaves the freed
+    /// chunk's link naming a cleared chunk start: an observer that finds
+    /// the link's target unpublished must also find the link already moved
+    /// past it. (The link changes once here, so an unchanged re-read means
+    /// the link still named the target when its start bit read clear.)
+    #[test]
+    fn merge_never_exposes_a_dangling_link() {
+        model(|| {
+            // Chunks [0, 4096); a 16 B malloc splits chunk 0 at 24.
+            let a = Arc::new(RegEffC::with_capacity(8192, 1));
+            let p = a.malloc(&ThreadCtx::host(), 16).unwrap();
+            assert_eq!(TwoWord::read(&a.heap, 0).next, 24);
+            let freer = {
+                let a = Arc::clone(&a);
+                thread::spawn(move || a.free(&ThreadCtx::host(), p).unwrap())
+            };
+            let link = TwoWord::read(&a.heap, 0).next;
+            if link != 0 && !a.starts.check(link) {
+                assert_ne!(TwoWord::read(&a.heap, 0).next, link, "dangling link to {link}");
+            }
+            freer.join().unwrap();
+            assert_eq!(TwoWord::read(&a.heap, 0).next, 4096, "free merged the split leftover");
         });
     }
 }

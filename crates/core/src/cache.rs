@@ -461,7 +461,7 @@ impl<A: DeviceAllocator> DeviceAllocator for Cached<A> {
         let shard = self.shard(warp.sm);
         let mut popped: Vec<(usize, u64)> = Vec::with_capacity(sizes.len());
         let mut complete = true;
-        for (lane, &size) in sizes.iter().enumerate() {
+        for &size in sizes {
             let Some(class) = self.class_for(size) else {
                 complete = false;
                 break;
@@ -473,7 +473,6 @@ impl<A: DeviceAllocator> DeviceAllocator for Cached<A> {
                     break;
                 }
             }
-            let _ = lane;
         }
         if complete {
             self.metrics.add(warp.sm, Counter::MagazineHits, popped.len() as u64);
@@ -483,7 +482,6 @@ impl<A: DeviceAllocator> DeviceAllocator for Cached<A> {
             for (lane, &(class, off)) in popped.iter().enumerate() {
                 let _ = self.tags.insert(off, class);
                 out[lane] = DevicePtr::new(off);
-                let _ = class;
             }
             return Ok(());
         }

@@ -28,17 +28,20 @@
 //! records zero events.
 //!
 //! Each shard is a fixed-capacity array of 6-word slots. A writer claims a
-//! slot with one `fetch_add` on the shard's `claimed` cursor; claims past
-//! capacity increment a `dropped` counter and write nothing, so memory stays
-//! bounded and loss is observable (drop-newest). Slot words are plain
-//! atomics written `Relaxed`; the writer then publishes with a `Release`
-//! `fetch_add` on `committed`. Because read-modify-writes continue each
-//! other's release sequences, a reader's `Acquire` load of the final
-//! `committed` value synchronises with *every* writer, making all committed
-//! slot payloads visible. [`TraceRecorder::snapshot`] is intended for
-//! quiescent points (after a launch returns); it tolerates a mid-flight
-//! writer by bounded spinning and skipping slots whose tag word is still
-//! zero.
+//! run of `n` contiguous slots with one `fetch_add(n)` on the shard's
+//! `claimed` cursor — `n` is 1 for a single event and the lane count for a
+//! warp-collective operation's per-lane events. Claims past capacity write
+//! nothing and need no counter of their own: the drop count is the cursor's
+//! excess over capacity, so memory stays bounded and loss is observable
+//! (drop-newest). Slot payload words are plain atomics written `Relaxed`,
+//! and each slot is published by a `Release` store of its tag word; the
+//! writer then adds the slots it wrote to `committed` with one `Release`
+//! `fetch_add`. Because read-modify-writes continue each other's release
+//! sequences, a reader's `Acquire` load of the final `committed` value
+//! synchronises with *every* writer, making all committed slot payloads
+//! visible. [`TraceRecorder::snapshot`] is intended for quiescent points
+//! (after a launch returns); it tolerates a mid-flight writer by bounded
+//! spinning and skipping slots whose tag word is still zero.
 
 use crate::ctx::{ThreadCtx, WarpCtx};
 use crate::error::AllocError;
@@ -235,11 +238,10 @@ impl Slot {
 #[repr(align(128))]
 struct TraceShard {
     /// Slots ever claimed on this shard (monotonic; may exceed capacity).
+    /// Claims past capacity are the shard's dropped events (drop-newest).
     claimed: AtomicU64,
     /// Slots fully written and published.
     committed: AtomicU64,
-    /// Claims that found the ring full and were discarded (drop-newest).
-    dropped: AtomicU64,
     slots: Box<[Slot]>,
 }
 
@@ -248,7 +250,6 @@ impl TraceShard {
         TraceShard {
             claimed: AtomicU64::new(0),
             committed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             slots: (0..capacity).map(|_| Slot::new()).collect(),
         }
     }
@@ -256,10 +257,13 @@ impl TraceShard {
 
 /// Lock-free, fixed-capacity, per-SM trace recorder.
 ///
-/// Writers on any thread call [`TraceRecorder::emit`]; the cost per event is
-/// one `fetch_add`, five `Relaxed` stores and one `Release` `fetch_add`.
-/// When a shard fills, further events on it are counted in
-/// [`TraceRecorder::dropped`] and discarded — memory stays bounded at
+/// Writers on any thread call [`TraceRecorder::emit`]; [`Traced`] records
+/// a warp-collective op's per-lane events as one batch. A batch of `n`
+/// events costs one claim `fetch_add`, five `Relaxed` stores and one
+/// `Release` tag store per written slot, and one commit `fetch_add` — two
+/// read-modify-writes for a whole warp's per-lane events. When a shard
+/// fills, further events on it are counted in [`TraceRecorder::dropped`]
+/// and discarded at the cost of the claim alone — memory stays bounded at
 /// `shards × events_per_sm × 48` bytes no matter how long the run.
 pub struct TraceRecorder {
     shards: Box<[TraceShard]>,
@@ -327,29 +331,58 @@ impl TraceRecorder {
 
     /// Records an event with an explicit timestamp (callers that time an
     /// operation themselves pass the operation's start or end instant).
+    /// The one-event case of the batch write path.
     pub fn emit_at(&self, ts_ns: u64, sm: u32, kind: EventKind, args: [u64; 4]) {
-        let shard = &self.shards[sm as usize & (self.shards.len() - 1)];
-        let idx = shard.claimed.fetch_add(1, Ordering::Relaxed);
-        if idx >= self.capacity as u64 {
-            shard.dropped.fetch_add(1, Ordering::Relaxed);
+        self.emit_batch_at(ts_ns, sm, kind, 1, [args]);
+    }
+
+    /// Records `n` events of one kind and timestamp on `sm`'s shard, taking
+    /// their payloads from `args` in order, into contiguous slots.
+    ///
+    /// The batch costs one claim `fetch_add` and one commit `fetch_add`
+    /// whatever `n` is; each written slot is still published by its own
+    /// `Release` store of the tag word. Slots past the ring's capacity are
+    /// dropped (drop-newest) and counted by the claim cursor itself, so a
+    /// full ring costs the claim alone. `args` must yield at least `n`
+    /// payloads; extra ones are ignored.
+    pub(crate) fn emit_batch_at(
+        &self,
+        ts_ns: u64,
+        sm: u32,
+        kind: EventKind,
+        n: usize,
+        args: impl IntoIterator<Item = [u64; 4]>,
+    ) {
+        if n == 0 {
             return;
         }
-        let slot = &shard.slots[idx as usize];
-        // The claim above made `idx` exclusively ours, so these Relaxed
-        // stores race with nothing. The meta word (timestamp-independent
-        // nonzero tag) is stored last with Release: it is the slot's own
-        // publication point, so a reader that sees the tag sees the whole
-        // slot. Commits on neighboring slots can land in any order, which
-        // is why publication must be per-slot, not via the `committed`
-        // counter (that counter only sizes `recorded()` and bounds the
-        // snapshot's completeness spin).
-        slot.words[0].store(ts_ns, Ordering::Relaxed);
-        slot.words[2].store(args[0], Ordering::Relaxed);
-        slot.words[3].store(args[1], Ordering::Relaxed);
-        slot.words[4].store(args[2], Ordering::Relaxed);
-        slot.words[5].store(args[3], Ordering::Relaxed);
-        slot.words[1].store((kind.tag() << 32) | sm as u64, Ordering::Release);
-        shard.committed.fetch_add(1, Ordering::Release);
+        let shard = &self.shards[sm as usize & (self.shards.len() - 1)];
+        let first = shard.claimed.fetch_add(n as u64, Ordering::Relaxed) as usize;
+        let end = first.saturating_add(n).min(self.capacity);
+        if first >= end {
+            return;
+        }
+        // The claim above made these slots exclusively ours, so the Relaxed
+        // stores race with nothing. Each slot's meta word (nonzero tag) is
+        // stored last with Release: it is the slot's own publication point,
+        // so a reader that sees the tag sees the whole slot. Commits on
+        // neighboring slots can land in any order, which is why publication
+        // must be per-slot, not via the `committed` counter (that counter
+        // only sizes `recorded()` and bounds the snapshot's completeness
+        // spin).
+        let meta = (kind.tag() << 32) | sm as u64;
+        let mut written = 0u64;
+        for (slot, a) in shard.slots[first..end].iter().zip(args) {
+            slot.words[0].store(ts_ns, Ordering::Relaxed);
+            slot.words[2].store(a[0], Ordering::Relaxed);
+            slot.words[3].store(a[1], Ordering::Relaxed);
+            slot.words[4].store(a[2], Ordering::Relaxed);
+            slot.words[5].store(a[3], Ordering::Relaxed);
+            slot.words[1].store(meta, Ordering::Release);
+            written += 1;
+        }
+        debug_assert_eq!(written, (end - first) as u64, "emit_batch_at: fewer than n payloads");
+        shard.committed.fetch_add(written, Ordering::Release);
     }
 
     /// Total events recorded (committed) across all shards.
@@ -357,9 +390,15 @@ impl TraceRecorder {
         self.shards.iter().map(|s| s.committed.load(Ordering::Acquire)).sum()
     }
 
-    /// Total events discarded because their shard was full.
+    /// Total events discarded because their shard was full: the claims
+    /// each shard's cursor handed out past its capacity.
     pub fn dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.dropped.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| self.overflow(s.claimed.load(Ordering::Relaxed))).sum()
+    }
+
+    /// Claims past capacity out of `claimed` claims on one shard.
+    fn overflow(&self, claimed: u64) -> u64 {
+        claimed.saturating_sub(self.capacity as u64)
     }
 
     /// Decodes every committed event into a time-sorted [`Trace`].
@@ -372,7 +411,8 @@ impl TraceRecorder {
         let mut events = Vec::new();
         let mut dropped = 0u64;
         for shard in self.shards.iter() {
-            let claims = shard.claimed.load(Ordering::Acquire).min(self.capacity as u64);
+            let claimed = shard.claimed.load(Ordering::Acquire);
+            let claims = claimed.min(self.capacity as u64);
             // Loom explores each spin iteration as a branch; keep the bound
             // tight there and generous on real hardware.
             let spin_bound: u32 = if cfg!(loom) { 100 } else { 1_000_000 };
@@ -395,7 +435,7 @@ impl TraceRecorder {
                     events.push(ev);
                 }
             }
-            dropped += shard.dropped.load(Ordering::Relaxed);
+            dropped += self.overflow(claimed);
         }
         events.sort_by_key(|e| (e.ts_ns, e.sm));
         Trace { events, dropped, events_per_sm: self.capacity }
@@ -420,7 +460,8 @@ impl TraceRecorder {
         let mut events = Vec::new();
         let mut dropped = 0u64;
         for (shard, cursor) in self.shards.iter().zip(cursors.iter_mut()) {
-            let claims = shard.claimed.load(Ordering::Acquire).min(self.capacity as u64);
+            let claimed = shard.claimed.load(Ordering::Acquire);
+            let claims = claimed.min(self.capacity as u64);
             let spin_bound: u32 = if cfg!(loom) { 100 } else { 1_000_000 };
             let mut spins = 0u32;
             while shard.committed.load(Ordering::Acquire) < claims {
@@ -442,7 +483,7 @@ impl TraceRecorder {
                 }
             }
             *cursor = consumed as u64;
-            dropped += shard.dropped.load(Ordering::Relaxed);
+            dropped += self.overflow(claimed);
         }
         events.sort_by_key(|e| (e.ts_ns, e.sm));
         Trace { events, dropped, events_per_sm: self.capacity }
@@ -583,17 +624,17 @@ impl<A: DeviceAllocator> DeviceAllocator for Traced<A> {
         let t1 = self.rec.now_ns();
         let latency = (t1 - t0).max(1);
         match &r {
-            Ok(()) => {
-                for (i, (&size, ptr)) in sizes.iter().zip(out.iter()).enumerate() {
-                    let lane_retries = if i == 0 { retries } else { 0 };
-                    self.rec.emit_at(
-                        t1,
-                        warp.sm,
-                        EventKind::MallocEnd,
-                        [ptr.raw(), size, latency, lane_retries],
-                    );
-                }
-            }
+            // One ring claim for the whole warp: lanes land in contiguous
+            // slots, retries on the first lane only so sums stay correct.
+            Ok(()) => self.rec.emit_batch_at(
+                t1,
+                warp.sm,
+                EventKind::MallocEnd,
+                sizes.len().min(out.len()),
+                sizes.iter().zip(out.iter()).enumerate().map(|(i, (&size, ptr))| {
+                    [ptr.raw(), size, latency, if i == 0 { retries } else { 0 }]
+                }),
+            ),
             Err(_) => {
                 self.rec.emit_at(
                     t1,
@@ -625,15 +666,16 @@ impl<A: DeviceAllocator> DeviceAllocator for Traced<A> {
         // first error, so on Err the occupancy replay conservatively keeps
         // all lanes live.
         let ok = r.is_ok() as u64;
-        for (i, ptr) in ptrs.iter().filter(|p| !p.is_null()).enumerate() {
-            let lane_retries = if i == 0 { retries } else { 0 };
-            self.rec.emit_at(
-                t1,
-                warp.sm,
-                EventKind::FreeEnd,
-                [ptr.raw(), latency, lane_retries, ok],
-            );
-        }
+        self.rec.emit_batch_at(
+            t1,
+            warp.sm,
+            EventKind::FreeEnd,
+            live as usize,
+            ptrs.iter()
+                .filter(|p| !p.is_null())
+                .enumerate()
+                .map(|(i, ptr)| [ptr.raw(), latency, if i == 0 { retries } else { 0 }, ok]),
+        );
         r
     }
 
@@ -1445,6 +1487,110 @@ mod tests {
         assert_eq!(t.events.iter().map(|e| e.ts_ns).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
     }
 
+    /// Test manager whose lane `i` gets offset `(i + 1) * 64`; every
+    /// per-lane call notes `retries` CAS retries through the metrics bridge.
+    struct LaneBump {
+        heap: Arc<DeviceHeap>,
+        m: Metrics,
+        retries: u64,
+    }
+
+    impl DeviceAllocator for LaneBump {
+        fn info(&self) -> ManagerInfo {
+            ManagerInfo::builder("LaneBump").supports_free(true).build()
+        }
+        fn heap(&self) -> &DeviceHeap {
+            &self.heap
+        }
+        fn malloc(&self, ctx: &ThreadCtx, _size: u64) -> Result<DevicePtr, AllocError> {
+            self.m.record_retries(ctx.sm, self.retries);
+            Ok(DevicePtr::new((u64::from(ctx.lane) + 1) * 64))
+        }
+        fn free(&self, ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
+            self.m.record_retries(ctx.sm, self.retries);
+            Ok(())
+        }
+        fn register_footprint(&self) -> RegisterFootprint {
+            RegisterFootprint { malloc: 1, free: 1 }
+        }
+        fn metrics(&self) -> Metrics {
+            self.m.clone()
+        }
+    }
+
+    fn lane_bump(rec: &Arc<TraceRecorder>, retries: u64) -> Traced<LaneBump> {
+        let m = Metrics::enabled(1).with_tracer(Arc::clone(rec));
+        let heap = Arc::new(DeviceHeap::new(4096));
+        Traced::new(LaneBump { heap, m, retries }, Arc::clone(rec))
+    }
+
+    const WARP0: WarpCtx = WarpCtx { warp: 0, block: 0, sm: 0 };
+
+    fn of_kind(t: &Trace, kind: EventKind) -> Vec<TraceEvent> {
+        t.events.iter().filter(|e| e.kind == kind).copied().collect()
+    }
+
+    #[test]
+    fn warp_malloc_batch_keeps_the_lowest_lanes_when_the_ring_fills() {
+        // The MallocBegin takes slot 0 of 11, so the 32-lane batch of
+        // MallocEnds finds exactly 10 free slots.
+        let rec = Arc::new(TraceRecorder::new(1, 11));
+        let traced = lane_bump(&rec, 2);
+        let mut out = [DevicePtr::NULL; 32];
+        traced.malloc_warp(&WARP0, &[16; 32], &mut out).unwrap();
+
+        let t = rec.snapshot();
+        let ends = of_kind(&t, EventKind::MallocEnd);
+        assert_eq!(ends.len(), 10, "only the free slots are written");
+        for (lane, e) in ends.iter().enumerate() {
+            let retries = if lane == 0 { 2 * 32 } else { 0 };
+            assert_eq!(e.args, [out[lane].raw(), 16, ends[0].args[2], retries], "lane {lane}");
+        }
+        assert_eq!(rec.dropped(), 22, "the 22 higher lanes are counted, not written");
+        assert_eq!((t.dropped, rec.recorded()), (22, 11));
+    }
+
+    #[test]
+    fn warp_free_batch_covers_live_lanes_only() {
+        let rec = Arc::new(TraceRecorder::new(1, 64));
+        let traced = lane_bump(&rec, 3);
+        let live = [1usize, 4, 5, 31];
+        let mut ptrs = [DevicePtr::NULL; 32];
+        for lane in live {
+            ptrs[lane] = DevicePtr::new((lane as u64 + 1) * 64);
+        }
+        traced.free_warp(&WARP0, &ptrs).unwrap();
+
+        let t = rec.snapshot();
+        assert_eq!(of_kind(&t, EventKind::FreeBegin)[0].args[2], 4, "live lane count");
+        let ends = of_kind(&t, EventKind::FreeEnd);
+        let got: Vec<u64> = ends.iter().map(|e| e.args[0]).collect();
+        assert_eq!(got, live.map(|lane| ptrs[lane].raw()), "one FreeEnd per live lane, in order");
+        let retries: Vec<u64> = ends.iter().map(|e| e.args[2]).collect();
+        assert_eq!(retries, [4 * 3, 0, 0, 0], "retries ride the first live lane only");
+        assert!(ends.iter().all(|e| e.args[3] == 1 && e.args[1] == ends[0].args[1]));
+        assert_eq!(rec.dropped(), 0);
+    }
+
+    #[test]
+    fn one_event_batch_writes_the_same_slot_as_emit_at() {
+        let raw = |r: &TraceRecorder| -> Vec<u64> {
+            r.shards
+                .iter()
+                .flat_map(|s| {
+                    let cursors = [&s.claimed, &s.committed].map(|c| c.load(Ordering::Relaxed));
+                    let words = s.slots.iter().flat_map(|slot| &slot.words);
+                    cursors.into_iter().chain(words.map(|w| w.load(Ordering::Relaxed)))
+                })
+                .collect()
+        };
+        let (single, batch) = (TraceRecorder::new(2, 4), TraceRecorder::new(2, 4));
+        single.emit_at(77, 3, EventKind::CacheFlush, [1, 2, 3, 4]);
+        batch.emit_batch_at(77, 3, EventKind::CacheFlush, 1, [[1, 2, 3, 4]]);
+        assert_eq!(raw(&single), raw(&batch));
+        assert!(raw(&batch).contains(&((EventKind::CacheFlush.tag() << 32) | 3)));
+    }
+
     #[test]
     fn sm_ids_fold_into_shards() {
         let rec = TraceRecorder::new(4, 8);
@@ -1796,42 +1942,68 @@ mod tests {
     }
 }
 
-// Loom model of the claim/commit publication protocol: two writers race one
-// reader; every committed slot the reader observes must decode to a fully
-// written event (never the reserved zero tag, never a half-written payload).
+// Loom model of the claim/commit publication protocol: a batch claim that
+// straddles the ring's capacity races a single `emit_at` and a reader.
+// Every slot the reader observes must decode to a fully written event
+// (never the reserved zero tag, never a half-written payload), the
+// incremental drain must never hand out a slot twice, and once the writers
+// are done every emitted event is either recorded or counted as dropped.
 #[cfg(all(test, loom))]
 mod loom_tests {
     use super::*;
 
+    /// Checks `ev` is one of the model's events, written whole: the batch
+    /// writes `MallocEnd`s at ts 1 with payloads `[10 + i; 4]`, the single
+    /// writer a `FreeEnd` at ts 2 with payload `[20; 4]`.
+    fn assert_whole(ev: &TraceEvent) {
+        assert_eq!(ev.args, [ev.args[0]; 4], "torn payload {ev:?}");
+        match ev.kind {
+            EventKind::MallocEnd => assert!(ev.ts_ns == 1 && (10..13).contains(&ev.args[0])),
+            EventKind::FreeEnd => assert!(ev.ts_ns == 2 && ev.args[0] == 20),
+            other => panic!("unexpected kind {other:?}"),
+        }
+    }
+
     #[test]
     fn loom_claim_commit_publishes_whole_slots() {
         crate::sync::model(|| {
-            let rec = Arc::new(TraceRecorder::new(1, 4));
-            let writers: Vec<_> = (0..2u64)
-                .map(|t| {
-                    let rec = Arc::clone(&rec);
-                    crate::sync::thread::spawn(move || {
-                        rec.emit_at(t + 1, 0, EventKind::MallocEnd, [t + 1, t + 1, t + 1, t + 1]);
-                    })
+            // Two slots for four events: the three-event batch overflows
+            // whichever writer claims first.
+            let rec = Arc::new(TraceRecorder::new(1, 2));
+            let batch = {
+                let rec = Arc::clone(&rec);
+                crate::sync::thread::spawn(move || {
+                    let args = (10..13u64).map(|v| [v; 4]);
+                    rec.emit_batch_at(1, 0, EventKind::MallocEnd, 3, args);
                 })
-                .collect();
-            // Read while the writers may still be mid-protocol: whatever is
-            // visible must decode whole (the reserved zero tag shields
-            // unpublished slots; spinning is avoided by reading only the
-            // committed prefix loom has made visible).
-            let mid = rec.snapshot();
-            for ev in &mid.events {
-                assert_eq!(ev.kind, EventKind::MallocEnd);
-                assert_eq!([ev.ts_ns, ev.args[1], ev.args[2], ev.args[3]], [ev.args[0]; 4]);
-            }
-            for w in writers {
+            };
+            let single = {
+                let rec = Arc::clone(&rec);
+                crate::sync::thread::spawn(move || {
+                    rec.emit_at(2, 0, EventKind::FreeEnd, [20; 4]);
+                })
+            };
+            // Drain while the writers may still be mid-protocol: whatever
+            // is visible must decode whole (the reserved zero tag shields
+            // unpublished slots), and the cursor must resume after it.
+            let mut cursors = Vec::new();
+            let mut seen = rec.snapshot_since(&mut cursors).events;
+            for w in [batch, single] {
                 w.join().unwrap();
+                seen.extend(rec.snapshot_since(&mut cursors).events);
             }
+            for ev in &seen {
+                assert_whole(ev);
+            }
+            let mut ids: Vec<u64> = seen.iter().map(|e| e.args[0]).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), seen.len(), "a slot was drained twice: {seen:?}");
+            assert_eq!(seen.len(), 2, "the drains together cover the whole ring");
+            assert_eq!(rec.recorded() + rec.dropped(), 4, "every emitted event is accounted for");
             let done = rec.snapshot();
-            assert_eq!(done.len(), 2);
-            for ev in &done.events {
-                assert_eq!([ev.ts_ns, ev.args[1], ev.args[2], ev.args[3]], [ev.args[0]; 4]);
-            }
+            assert_eq!((done.len(), done.dropped), (2, 2));
+            done.events.iter().for_each(assert_whole);
         });
     }
 }

@@ -88,6 +88,13 @@ test -s target/trace-smoke/trace_scatter.json
 grep -q '"ph"' target/trace-smoke/trace_scatter.json
 grep -q '^ScatterAlloc,malloc,' target/trace-smoke/trace_latency_2048_TITANV.csv
 
+# Benchmark build check: gmsbench is a package of its own outside the
+# workspace, so nothing above compiles it. Its contract test needs no
+# timing: it checks the printed metric names against BENCHMARK.json and
+# runs one real traced warp_small_traced round through the trace recorder.
+echo "==> cargo test --release --manifest-path gmsbench/Cargo.toml --test contract"
+cargo test --release --offline -q --manifest-path gmsbench/Cargo.toml --test contract
+
 # Live-telemetry smoke: a watched run must produce a schema-versioned JSON
 # time-series with at least 10 sample windows, a parse-validated OpenMetrics
 # exposition, and a per-window CSV the summarizer can read (DESIGN.md §15).
